@@ -17,10 +17,16 @@ type Line[S any] struct {
 	lru uint64
 }
 
-// Array is a set-associative cache with true-LRU replacement.
+// pageSets is the number of sets in one page of an Array.
+const pageSets = 64
+
+// Array is a set-associative cache with true-LRU replacement. Its sets
+// live in pages of pageSets sets that are allocated the first time one
+// of their sets is touched, so a large, mostly idle array (a Table 3 L2
+// bank in a short run) costs only the pages its blocks map to.
 type Array[S any] struct {
 	sets, ways int
-	lines      [][]Line[S]
+	pages      [][]Line[S] // pages[p] holds sets p*pageSets onwards; nil until touched
 	tick       uint64
 }
 
@@ -43,13 +49,7 @@ func (p Params) Sets() int {
 // New builds an array with the given geometry.
 func New[S any](p Params) *Array[S] {
 	sets := p.Sets()
-	a := &Array[S]{sets: sets, ways: p.Ways}
-	a.lines = make([][]Line[S], sets)
-	backing := make([]Line[S], sets*p.Ways)
-	for i := range a.lines {
-		a.lines[i], backing = backing[:p.Ways], backing[p.Ways:]
-	}
-	return a
+	return &Array[S]{sets: sets, ways: p.Ways, pages: make([][]Line[S], (sets+pageSets-1)/pageSets)}
 }
 
 // Sets reports the number of sets.
@@ -59,7 +59,13 @@ func (a *Array[S]) Sets() int { return a.sets }
 func (a *Array[S]) Ways() int { return a.ways }
 
 func (a *Array[S]) set(b mem.Block) []Line[S] {
-	return a.lines[uint64(b)%uint64(a.sets)]
+	s := int(uint64(b) % uint64(a.sets))
+	p := s / pageSets
+	if a.pages[p] == nil {
+		a.pages[p] = make([]Line[S], min(pageSets, a.sets-p*pageSets)*a.ways)
+	}
+	off := s % pageSets * a.ways
+	return a.pages[p][off : off+a.ways : off+a.ways]
 }
 
 // Lookup returns the line holding b, or nil. It does not touch LRU state;
@@ -199,12 +205,12 @@ func (a *Array[S]) Invalidate(b mem.Block) (S, bool) {
 	return zero, false
 }
 
-// ForEach visits every valid line.
+// ForEach visits every valid line, in set order and way order within
+// a set.
 func (a *Array[S]) ForEach(fn func(b mem.Block, s *S)) {
-	for si := range a.lines {
-		for wi := range a.lines[si] {
-			l := &a.lines[si][wi]
-			if l.Valid {
+	for _, page := range a.pages {
+		for i := range page {
+			if l := &page[i]; l.Valid {
 				fn(l.Block, &l.State)
 			}
 		}

@@ -1,6 +1,9 @@
 package cache
 
 import (
+	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -158,5 +161,114 @@ func TestPropertyInstallThenHit(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestNewAllocatesLazily pins the paged layout: building a Table 3 L2
+// bank (2 MiB, 4-way, 8192 sets) allocates only the page directory,
+// not the 32768 lines.
+func TestNewAllocatesLazily(t *testing.T) {
+	type l2State struct {
+		tokens, owner int
+		data          uint64
+		held          int64
+	}
+	p := Params{SizeBytes: 2 << 20, Ways: 4, BlockSize: 64}
+	const n = 16
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range n {
+		sink = New[l2State](p)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per >= 64<<10 {
+		t.Errorf("New allocates %d bytes per 2 MiB array, want < 64 KiB", per)
+	}
+}
+
+var sink any
+
+// eagerRef is a reference set-associative LRU array with every set
+// allocated up front, the layout Array used before it was paged.
+type eagerRef struct {
+	sets [][]refLine
+	tick uint64
+}
+
+type refLine struct {
+	block    mem.Block
+	valid    bool
+	lru, val int
+}
+
+func (r *eagerRef) install(b mem.Block, val int) {
+	set := r.sets[uint64(b)%uint64(len(r.sets))]
+	var victim *refLine
+	for i := range set {
+		l := &set[i]
+		if l.valid && l.block == b {
+			r.tick++
+			l.lru = int(r.tick)
+			return
+		}
+		if victim == nil || (victim.valid && (!l.valid || l.lru < victim.lru)) {
+			victim = l
+		}
+	}
+	r.tick++
+	*victim = refLine{block: b, valid: true, lru: int(r.tick), val: val}
+}
+
+func (r *eagerRef) invalidate(b mem.Block) {
+	for i, l := range r.sets[uint64(b)%uint64(len(r.sets))] {
+		if l.valid && l.block == b {
+			r.sets[uint64(b)%uint64(len(r.sets))][i] = refLine{}
+		}
+	}
+}
+
+// TestForEachMatchesEagerReference drives a paged array (200 sets, so
+// the last page is partial) and the eager reference through the same
+// random Install/Invalidate sequence, then checks that ForEach visits
+// the same lines in the same order and Count agrees.
+func TestForEachMatchesEagerReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const sets, ways = 200, 2
+	a := newTest(sets*ways, ways)
+	ref := &eagerRef{sets: make([][]refLine, sets)}
+	for i := range ref.sets {
+		ref.sets[i] = make([]refLine, ways)
+	}
+	for step := 0; step < 5000; step++ {
+		b := mem.Block(rng.Intn(3000))
+		if rng.Intn(3) == 0 {
+			a.Invalidate(b)
+			ref.invalidate(b)
+			continue
+		}
+		l, _, _, _ := a.Install(b)
+		if l.State.v == 0 {
+			l.State.v = step + 1
+		}
+		ref.install(b, step+1)
+	}
+	type visit struct {
+		b mem.Block
+		v int
+	}
+	var got, want []visit
+	a.ForEach(func(b mem.Block, s *lineState) { got = append(got, visit{b, s.v}) })
+	for _, set := range ref.sets {
+		for _, l := range set {
+			if l.valid {
+				want = append(want, visit{l.block, l.val})
+			}
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("ForEach visited %d lines %v..., reference %d lines %v...", len(got), got[:min(4, len(got))], len(want), want[:min(4, len(want))])
+	}
+	if a.Count() != len(want) {
+		t.Errorf("Count = %d, reference holds %d", a.Count(), len(want))
 	}
 }

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -206,33 +208,150 @@ func TestScheduleCallPassesCtxArg(t *testing.T) {
 	}
 }
 
-// TestHeapPopsTotalOrder cross-checks the 4-ary heap against a sorted
-// reference over a large pseudo-random schedule.
+// TestHeapPopsTotalOrder cross-checks the queue against a sorted
+// reference on (time, sequence) over a schedule built to stress the
+// per-time buckets: 16-way fan-outs at one delay, zero-delay events
+// scheduled from inside a same-time drain, ScheduleAt/ScheduleCallAt
+// calls into the past that clamp to now, and Schedule interleaved with
+// ScheduleCall.
 func TestHeapPopsTotalOrder(t *testing.T) {
+	type key struct {
+		at  Time
+		seq int
+	}
+	type node struct {
+		key
+		depth int
+	}
 	rng := rand.New(rand.NewSource(42))
+	delays := []Time{0, NS(2), PS(20500), NS(7)}
 	e := NewEngine()
-	const n = 5000
-	var fired []Time
-	for i := 0; i < n; i++ {
-		e.Schedule(Time(rng.Intn(500))*Nanosecond, func() { fired = append(fired, e.Now()) })
+	var scheduled, fired []key
+	var fire func(_, arg any)
+	add := func(at Time, depth int) {
+		n := &node{key{max(at, e.Now()), len(scheduled) + 1}, depth}
+		scheduled = append(scheduled, n.key)
+		switch n.seq % 4 {
+		case 0:
+			e.Schedule(at-e.Now(), func() { fire(nil, n) })
+		case 1:
+			e.ScheduleAt(at, func() { fire(nil, n) })
+		case 2:
+			e.ScheduleCall(at-e.Now(), fire, nil, n)
+		case 3:
+			e.ScheduleCallAt(at, fire, nil, n)
+		}
+	}
+	fire = func(_, arg any) {
+		n := arg.(*node)
+		if e.Now() != n.at {
+			t.Fatalf("event %d fired at %v, scheduled for %v", n.seq, e.Now(), n.at)
+		}
+		fired = append(fired, n.key)
+		if n.depth == 0 {
+			return
+		}
+		now := e.Now()
+		switch rng.Intn(4) {
+		case 0: // a broadcast: 16 events at one delay
+			d := delays[rng.Intn(len(delays))]
+			for range 16 {
+				add(now+d, n.depth-1)
+			}
+		case 1: // zero delay: joins the bucket being drained
+			add(now, n.depth-1)
+			add(now, n.depth-1)
+		case 2: // into the past: clamps to now
+			add(now-NS(int64(rng.Intn(5)+1)), n.depth-1)
+		case 3:
+			add(now+Time(rng.Intn(500))*Nanosecond, n.depth-1)
+		}
+	}
+	for range 20 {
+		add(Time(rng.Intn(50))*Nanosecond, 5)
 	}
 	e.Run(0)
-	if len(fired) != n {
-		t.Fatalf("fired %d events, want %d", len(fired), n)
+	if e.Pending() != 0 || len(fired) != len(scheduled) {
+		t.Fatalf("fired %d of %d events, %d pending", len(fired), len(scheduled), e.Pending())
 	}
-	for i := 1; i < n; i++ {
-		if fired[i] < fired[i-1] {
-			t.Fatalf("time went backwards at %d: %v < %v", i, fired[i], fired[i-1])
+	if len(fired) < 5000 {
+		t.Fatalf("schedule too small to stress the queue: %d events", len(fired))
+	}
+	// scheduled is in sequence order, so a stable sort on time gives
+	// the (time, sequence) reference.
+	want := slices.Clone(scheduled)
+	slices.SortStableFunc(want, func(a, b key) int { return cmp.Compare(a.at, b.at) })
+	for i := range want {
+		if fired[i] != want[i] {
+			t.Fatalf("event %d: fired %+v, want %+v", i, fired[i], want[i])
 		}
 	}
 }
 
+// TestTimeIndexMatchesMap drives the queue's time index and a Go map
+// through the same random puts and deletes. Times are drawn from a
+// narrow range so probe runs collide and wrap around the table.
+func TestTimeIndexMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var x timeIndex
+	ref := map[Time]int32{}
+	for step := 0; step < 200000; step++ {
+		at := Time(rng.Intn(300)) * PS(500)
+		if b, ok := ref[at]; ok && rng.Intn(2) == 0 {
+			if got := x.get(at); got != b {
+				t.Fatalf("step %d: get(%v) = %d, want %d", step, at, got, b)
+			}
+			x.del(at)
+			delete(ref, at)
+		} else if !ok {
+			b := int32(step%1000 + 1)
+			x.put(at, b)
+			ref[at] = b
+		}
+		if x.get(at) != ref[at] {
+			t.Fatalf("step %d: get(%v) = %d, want %d", step, at, x.get(at), ref[at])
+		}
+	}
+	for at, b := range ref {
+		if got := x.get(at); got != b {
+			t.Fatalf("final get(%v) = %d, want %d", at, got, b)
+		}
+	}
+
+	// A probe run that wraps past the last slot of a fresh 16-slot
+	// table: A and B hash to the last slot, Z to slot 0, and inserting
+	// A, Z, B leaves B in slot 1. Deleting A must move B back across
+	// the wrap and leave Z, already at its home, in place.
+	var w timeIndex
+	w.put(0, 1)
+	w.del(0)
+	homed := func(slot int, skip Time) Time {
+		at := skip + 1
+		for w.home(at) != slot {
+			at++
+		}
+		return at
+	}
+	last := len(w.slots) - 1
+	a := homed(last, 0)
+	z := homed(0, 0)
+	b := homed(last, a)
+	w.put(a, 1)
+	w.put(z, 2)
+	w.put(b, 3)
+	w.del(a)
+	if w.get(a) != 0 || w.get(z) != 2 || w.get(b) != 3 {
+		t.Errorf("after deleting across the wrap: get = %d, %d, %d, want 0, 2, 3", w.get(a), w.get(z), w.get(b))
+	}
+}
+
 // TestScheduleCallDoesNotAllocate pins the closure-free fast path at
-// zero allocations per scheduled+fired event once the queue is warm.
+// zero allocations per scheduled+fired event once the queue is warm,
+// both for one event at a time and for a same-time burst.
 func TestScheduleCallDoesNotAllocate(t *testing.T) {
 	e := NewEngine()
 	nop := func(_, _ any) {}
-	// Warm the queue's backing slice.
+	// Warm the queue's slabs.
 	for i := 0; i < 64; i++ {
 		e.ScheduleCall(NS(1), nop, e, nil)
 	}
@@ -244,6 +363,49 @@ func TestScheduleCallDoesNotAllocate(t *testing.T) {
 	if avg != 0 {
 		t.Errorf("ScheduleCall+Step allocates %.2f per event, want 0", avg)
 	}
+	avg = testing.AllocsPerRun(1000, func() {
+		for range 16 {
+			e.ScheduleCall(NS(2), nop, e, nil)
+		}
+		for range 16 {
+			e.Step()
+		}
+	})
+	if avg != 0 {
+		t.Errorf("a 16-event same-time burst allocates %.2f per burst, want 0", avg)
+	}
+}
+
+// BenchmarkEngineFanout times the event queue in the shape the
+// commercial workload gives it: 16-way fan-outs at one delay (a
+// broadcast), delays cycling through the 2 ns, 20.5 ns and 7 ns
+// latencies that dominate it, and about 300 pending events. One op
+// schedules a fan-out and fires 16 events.
+func BenchmarkEngineFanout(b *testing.B) {
+	const fanout, depth = 16, 300
+	delays := [...]Time{NS(2), PS(20500), NS(7)}
+	e := NewEngine()
+	nop := func(_, _ any) {}
+	k := 0
+	fan := func() {
+		d := delays[k%len(delays)]
+		k++
+		for range fanout {
+			e.ScheduleCall(d, nop, e, nil)
+		}
+	}
+	for e.Pending() < depth {
+		fan()
+		e.Step()
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		fan()
+		for range fanout {
+			e.Step()
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*fanout), "ns/event")
 }
 
 // TestCancelStopsWithinBound pins the documented cancellation bound: a

@@ -1,8 +1,8 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
 // Components schedule closures at future simulated times on a single
-// Engine. Events at equal times fire in scheduling order (a monotonically
-// increasing sequence number breaks ties), so a run is bit-reproducible
+// Engine. Events at equal times fire in scheduling order (each pending
+// time keeps its events in a FIFO), so a run is bit-reproducible
 // for a given input, which the experiment harness relies on for the
 // pseudo-random perturbation methodology of Alameldeen & Wood.
 package sim

@@ -56,6 +56,9 @@ type L1Ctrl struct {
 	cache *cache.Array[token.State]
 	txns  map[mem.Block]*l1Txn
 	banks []*L2Ctrl // local L2 banks, for token-presence notes
+	// bcast lists a transient request's destinations: this CMP's L1s,
+	// then a slot each send fills with the block's home L2 bank.
+	bcast []topo.NodeID
 	est   *token.TimeoutEstimator
 	pred  *predictor
 	rng   *rand.Rand
@@ -79,6 +82,7 @@ func newL1(sys *System, id topo.NodeID, cmp, proc int, instr bool) *L1Ctrl {
 		cmp:        cmp,
 		proc:       proc,
 		globalProc: sys.Geom.GlobalProc(cmp, proc),
+		bcast:      append(sys.Geom.L1sInCMP(cmp), 0),
 		cache:      cache.New[token.State](cache.Params{SizeBytes: cfg.L1Size, Ways: cfg.L1Ways, BlockSize: mem.BlockSize}),
 		txns:       make(map[mem.Block]*l1Txn),
 		est:        token.NewTimeoutEstimator(cfg.InitialTimeout),
@@ -220,7 +224,7 @@ func (c *L1Ctrl) sendTransient(b mem.Block, txn *l1Txn) {
 		c.Stats.Retries++
 		c.sys.ctr.reqRetry.Inc()
 	}
-	tmpl := &network.Message{
+	tmpl := network.Message{
 		Src:       c.id,
 		Block:     b,
 		Kind:      kTransient,
@@ -229,10 +233,8 @@ func (c *L1Ctrl) sendTransient(b mem.Block, txn *l1Txn) {
 		Requestor: c.id,
 		Proc:      c.globalProc,
 	}
-	g := c.sys.Geom
-	dsts := append([]topo.NodeID{}, g.L1sInCMP(c.cmp)...)
-	dsts = append(dsts, g.L2BankFor(c.cmp, b))
-	c.sys.Net.Broadcast(tmpl, dsts)
+	c.bcast[len(c.bcast)-1] = c.sys.Geom.L2BankFor(c.cmp, b)
+	c.sys.Net.Broadcast(&tmpl, c.bcast)
 
 	txn.seq++
 	seq := txn.seq

@@ -39,6 +39,7 @@ type L2Ctrl struct {
 	cache   *cache.Array[token.State]
 	onChip  map[mem.Block]*presence
 	sharers map[mem.Block]uint64 // approximate L1-sharer bits (filter variant)
+	l1s     []topo.NodeID        // this CMP's L1s, the targets of external forwards
 
 	Stats L2Stats
 }
@@ -51,6 +52,7 @@ func newL2(sys *System, id topo.NodeID, cmp, bank int) *L2Ctrl {
 		cache:   cache.New[token.State](cache.Params{SizeBytes: cfg.L2BankSize, Ways: cfg.L2Ways, BlockSize: mem.BlockSize}),
 		onChip:  make(map[mem.Block]*presence),
 		sharers: make(map[mem.Block]uint64),
+		l1s:     sys.Geom.L1sInCMP(cmp),
 	}
 	c.initTables(sys, id)
 	c.accessLatency = cfg.L2Latency
@@ -315,8 +317,6 @@ func (c *L2Ctrl) handleExternal(m *network.Message) {
 	if token.ReqKind(m.Aux) == token.ReqRead && !p.owner {
 		return // external reads are answered only by the owner
 	}
-	g := c.sys.Geom
-	l1s := g.L1sInCMP(c.cmp)
 	fwd := network.Message{
 		Src:       c.id,
 		Block:     b,
@@ -328,7 +328,7 @@ func (c *L2Ctrl) handleExternal(m *network.Message) {
 	}
 	if c.sys.Cfg.Variant.Filter {
 		mask := c.sharers[b]
-		for _, l1 := range l1s {
+		for _, l1 := range c.l1s {
 			if mask&c.l1Bit(l1) != 0 {
 				fwd.Dst = l1
 				c.sys.Net.SendNew(fwd)
@@ -340,7 +340,7 @@ func (c *L2Ctrl) handleExternal(m *network.Message) {
 		}
 		return
 	}
-	for _, l1 := range l1s {
+	for _, l1 := range c.l1s {
 		fwd.Dst = l1
 		c.sys.Net.SendNew(fwd)
 		c.Stats.FwdToL1s++
